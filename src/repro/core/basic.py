@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .access import DataAccess
-from .signature import inverse_distance
+from .signature import ZERO_DISTANCE_INVERSE, inverse_distance
 
 __all__ = ["BasicScheduler", "ScheduleState"]
 
@@ -96,6 +97,9 @@ class BasicScheduler:
         """
         if n_nodes < 1:
             raise ValueError(f"need at least one I/O node: {n_nodes}")
+        if n_nodes > 63:
+            # Vectorized scoring holds signatures in int64.
+            raise ValueError(f"at most 63 I/O nodes are supported: {n_nodes}")
         if delta < 0:
             raise ValueError(f"delta must be non-negative: {delta}")
         if tie_break not in ("random", "first", "latest"):
@@ -143,11 +147,21 @@ class BasicScheduler:
         return total
 
     def _candidate_slots(self, access: DataAccess, state: ScheduleState) -> list[int]:
-        return [
-            t
-            for t in range(access.begin, access.end + 1)
-            if state.is_available(access, t)
-        ]
+        """Start slots in the legal range whose whole span is free of the
+        access's own process: a windowed sum over the process's
+        occupancy of ``[first, last_start + length)``."""
+        first, last_start = self._first_last(access)
+        taken = state.occupied.get(access.process)
+        if not taken:
+            return list(range(first, last_start + 1))
+        length = access.length
+        span = last_start + length - first
+        occupied = np.fromiter(
+            map(taken.__contains__, range(first, first + span)), np.int64, span
+        )
+        csum = np.concatenate(([0], np.cumsum(occupied)))
+        free = csum[length:] == csum[:-length]
+        return (np.flatnonzero(free) + first).tolist()
 
     # ------------------------------------------------------------------
     # Vectorized scoring
@@ -167,17 +181,27 @@ class BasicScheduler:
 
         Equivalent to calling :meth:`reuse_factor` per slot (the test
         suite asserts exact agreement) but computed as one convolution of
-        the per-slot inverse distances with the σ kernel.
+        the per-slot inverse distances with the σ kernel.  The distances
+        are taken over int64 signatures in one pass; ``1.0/d`` in float64
+        is the same IEEE division as Python's.
         """
         g = access.signature
         length = access.length  # flat-top width: slots t .. t+length-1
         lo = first - self.delta
         hi = last_start + length - 1 + self.delta
-        group = state.group
-        n = self.n_nodes
-        inv = np.empty(hi - lo + 1, dtype=float)
-        for i, s in enumerate(range(lo, hi + 1)):
-            inv[i] = inverse_distance(g, group.get(s, 0), n)
+        groups = np.fromiter(
+            map(state.group.get, range(lo, hi + 1), repeat(0)),
+            np.int64,
+            hi - lo + 1,
+        )
+        # distance = n − |g ∧ G| + |g ⊕ G|, with the paper's 1/0 := 2.
+        dist = (
+            self.n_nodes
+            - np.bitwise_count(g & groups).astype(np.int64)
+            + np.bitwise_count(g ^ groups)
+        )
+        inv = np.full(dist.shape, ZERO_DISTANCE_INVERSE)
+        np.divide(1.0, dist, out=inv, where=dist != 0)
         kernel = self._kernel(length)
         return np.convolve(inv, kernel, mode="valid")
 
@@ -212,8 +236,8 @@ class BasicScheduler:
         if not candidates:
             return []
         first, last_start = self._first_last(access)
-        scores = self._score_window(access, state, first, last_start)
-        return [(t, float(scores[t - first])) for t in candidates]
+        scores = self._score_window(access, state, first, last_start).tolist()
+        return [(t, scores[t - first]) for t in candidates]
 
     def place(
         self, access: DataAccess, state: ScheduleState

@@ -23,6 +23,7 @@ Service discipline
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
@@ -58,6 +59,8 @@ class DiskRequest:
     end_time: float = -1.0
     #: Fault-injection retry tally (media errors re-read in place).
     retries: int = 0
+    #: Target cylinder, computed once when the request is submitted.
+    cylinder: int = -1
 
     @property
     def queue_delay(self) -> float:
@@ -106,6 +109,7 @@ class Drive:
         "current_rpm",
         "target_rpm",
         "_queue",
+        "_arrivals",
         "_busy",
         "_head_cylinder",
         "_sweep_up",
@@ -153,7 +157,11 @@ class Drive:
 
         self.current_rpm = spec.max_rpm
         self.target_rpm = spec.max_rpm
-        self._queue: list[DiskRequest] = []
+        #: ``(cylinder, arrival, request)`` entries: sorted for the elevator,
+        #: in arrival order for FIFO.  ``arrival`` is a per-drive counter,
+        #: so entries never compare their requests.
+        self._queue: list[tuple[int, int, DiskRequest]] = []
+        self._arrivals = 0
         self._busy = False
         self._head_cylinder = 0
         self._sweep_up = True
@@ -230,7 +238,7 @@ class Drive:
         """Enqueue a request.  Its ``on_complete`` fires when served."""
         request.submit_time = self.sim.now
         was_idle = self.is_idle
-        self._queue.append(request)
+        self._enqueue(request)
         self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._queue))
         if self._tracer.detail:
             self._tracer.begin(
@@ -246,24 +254,33 @@ class Drive:
             self.policy.on_request_arrival(self.sim.now)
         self._try_start_service()
 
+    def _enqueue(self, request: DiskRequest) -> None:
+        request.cylinder = lba_to_cylinder(self.spec, request.lba)
+        entry = (request.cylinder, self._arrivals, request)
+        self._arrivals += 1
+        if self.arm_scheduling == "fifo":
+            self._queue.append(entry)
+        else:
+            insort(self._queue, entry)
+
     def _pick_next(self) -> DiskRequest:
         """Elevator (SCAN): continue the sweep direction, turn at the end.
-        FIFO (the ablation alternative) serves in arrival order."""
-        if len(self._queue) == 1 or self.arm_scheduling == "fifo":
-            return self._queue.pop(0)
-        keyed = [
-            (lba_to_cylinder(self.spec, r.lba), i, r)
-            for i, r in enumerate(self._queue)
-        ]
-        ahead = [k for k in keyed if (k[0] >= self._head_cylinder) == self._sweep_up]
-        if not ahead:
+        FIFO (the ablation alternative) serves in arrival order.
+
+        The sweep serves the nearest cylinder ahead of the head — on the
+        way up ``cyl >= head``, on the way down ``cyl < head`` — and the
+        earliest arrival among equal cylinders.  The direction flips only
+        when nothing is ahead; a lone request is served without touching
+        it."""
+        queue = self._queue
+        if len(queue) == 1 or self.arm_scheduling == "fifo":
+            return queue.pop(0)[2]
+        split = bisect_left(queue, (self._head_cylinder,))
+        if split == (len(queue) if self._sweep_up else 0):
             self._sweep_up = not self._sweep_up
-            ahead = keyed
-        chosen = min(
-            ahead, key=lambda k: (abs(k[0] - self._head_cylinder), k[1])
-        )
-        self._queue.pop(chosen[1])
-        return chosen[2]
+        if self._sweep_up:
+            return queue.pop(split)[2]
+        return queue.pop(bisect_left(queue, (queue[split - 1][0],)))[2]
 
     def _try_start_service(self) -> None:
         if self._busy or not self._queue:
@@ -296,7 +313,7 @@ class Drive:
         parts = service_components(
             self.spec,
             self._head_cylinder,
-            request.lba,
+            request.cylinder,
             request.nbytes,
             self.current_rpm,
             sequential_hint=request.sequential_hint,
@@ -332,7 +349,7 @@ class Drive:
                     now, request.lba, request.nbytes, request.retries
                 )
         request.end_time = now
-        self._head_cylinder = lba_to_cylinder(self.spec, request.lba)
+        self._head_cylinder = request.cylinder
         self._busy = False
 
         stats = self.stats

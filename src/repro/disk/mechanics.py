@@ -1,7 +1,7 @@
 """Mechanical service-time model for one disk request.
 
 Given a :class:`~repro.disk.specs.DiskSpec`, the head position and the
-request's logical block address, :func:`service_components` computes the
+request's target cylinder, :func:`service_components` computes the
 seek / rotational-latency / transfer breakdown DiskSim would produce, at the
 current rotational speed.  The model is deliberately at the "detailed
 analytical" level rather than sector-accurate: the paper's results depend on
@@ -45,12 +45,13 @@ def lba_to_cylinder(spec: DiskSpec, lba: int) -> int:
 def service_components(
     spec: DiskSpec,
     head_cylinder: int,
-    lba: int,
+    cylinder: int,
     nbytes: int,
     rpm: int,
     sequential_hint: bool = False,
 ) -> ServiceComponents:
-    """Compute the mechanical service-time components of one request.
+    """Compute the mechanical service-time components of one request
+    whose target is ``cylinder`` (see :func:`lba_to_cylinder`).
 
     ``sequential_hint`` marks a request that directly follows its
     predecessor on disk (same stream): seek and rotational latency collapse
@@ -65,8 +66,7 @@ def service_components(
         seek = 0.0
         rot = spec.head_switch_time  # occasional head/track switch
     else:
-        target = lba_to_cylinder(spec, lba)
-        distance = abs(target - head_cylinder) / max(1, spec.cylinders - 1)
+        distance = abs(cylinder - head_cylinder) / max(1, spec.cylinders - 1)
         seek = spec.seek_time(distance)
         rot = spec.avg_rotational_latency(rpm)
 

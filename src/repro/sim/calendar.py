@@ -233,21 +233,6 @@ class CalendarSimulator(Simulator):
             event.callback(*event.args)
             return True
 
-    def _peek(self) -> Optional[Event]:
-        while True:
-            cur = self._cur
-            if cur is None or self._cur_idx >= len(cur):
-                if not self._advance_bucket():
-                    return None
-                continue
-            event = cur[self._cur_idx][2]
-            if event.canceled:
-                self._cur_idx += 1
-                self._size -= 1
-                self._canceled -= 1
-                continue
-            return event
-
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> None:

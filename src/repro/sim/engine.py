@@ -139,7 +139,7 @@ class Simulator:
 
     This class is the **heap kernel** — the reference implementation of
     the kernel interface.  Subclass kernels override the queue surface
-    (``schedule``, ``schedule_at_exact``, ``step``, ``run``, ``_peek``,
+    (``schedule``, ``schedule_at_exact``, ``step``, ``run``,
     ``_note_cancel``, ``pending_events``) and advertise themselves via the
     two class attributes below; everything else is inherited.
     """
@@ -202,8 +202,9 @@ class Simulator:
             self._canceled >= self._COMPACT_MIN
             and self._canceled * 2 > len(heap)
         ):
-            self._heap = [entry for entry in heap if not entry[2].canceled]
-            heapq.heapify(self._heap)
+            # In place: a running loop holds a local alias of the heap.
+            heap[:] = [entry for entry in heap if not entry[2].canceled]
+            heapq.heapify(heap)
             self._canceled = 0
 
     def schedule_at(
@@ -277,27 +278,30 @@ class Simulator:
         ``until`` advances the clock to exactly that time if the simulation
         drains or passes it, matching the common "measure at horizon" idiom.
         """
+        heap = self._heap  # _note_cancel compacts in place, so this stays valid
+        heappop = heapq.heappop
         executed = 0
-        while True:
-            nxt = self._peek()
-            if nxt is None:
-                break
+        while heap:
+            time, _seq, event = heap[0]
+            if event.canceled:
+                heappop(heap)
+                self._canceled -= 1
+                continue
             if max_events is not None and executed >= max_events:
                 return
-            if until is not None and nxt.time > until:
+            if until is not None and time > until:
                 self.now = until
                 return
-            self.step()
+            heappop(heap)
+            if time < self.now - 1e-12:
+                raise RuntimeError("event heap corrupted: time went backwards")
+            if time > self.now:
+                self.now = time
+            self._events_executed += 1
             executed += 1
+            event.callback(*event.args)
         if until is not None and self.now < until:
             self.now = until
-
-    def _peek(self) -> Optional[Event]:
-        heap = self._heap
-        while heap and heap[0][2].canceled:
-            heapq.heappop(heap)
-            self._canceled -= 1
-        return heap[0][2] if heap else None
 
     @property
     def pending_events(self) -> int:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BasicScheduler, DataAccess
+from repro.core import BasicScheduler, DataAccess, ExtendedScheduler
 from repro.core.basic import ScheduleState
 from repro.core.signature import signature_from_nodes
 
@@ -91,6 +91,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             BasicScheduler(4, delta=-1)
 
+    def test_more_than_63_nodes_rejected(self):
+        # Vectorized scoring holds signatures in int64.
+        with pytest.raises(ValueError, match="63"):
+            BasicScheduler(64)
+        with pytest.raises(ValueError, match="63"):
+            ExtendedScheduler(64)
+
+    def test_63_nodes_score_exactly(self):
+        sched = BasicScheduler(63, delta=3)
+        state = ScheduleState(n_nodes=63)
+        top = 1 << 62
+        state.group.update({4: top, 5: top | 1, 7: 0b111})
+        probe = access(0, 0, 2, 9, top | 0b10)
+        for slot, score in sched.scored_candidates(probe, state):
+            assert score == sched.reuse_factor(probe, slot, state)
+
     def test_bad_tie_break(self):
         with pytest.raises(ValueError):
             BasicScheduler(4, tie_break="coin")
@@ -141,6 +157,16 @@ class TestWeights:
             assert score == pytest.approx(
                 sched.reuse_factor(probe, slot, state)
             )
+
+    def test_vectorized_scores_apply_zero_distance_rule(self):
+        # Distance 0 needs every node set on both sides; 1/0 := 2.
+        sched = BasicScheduler(4, delta=0)
+        state = ScheduleState(n_nodes=4)
+        state.group[5] = 0b1111
+        probe = access(0, 0, 4, 6, 0b1111)
+        assert sched.scored_candidates(probe, state) == [
+            (4, 0.125), (5, 2.0), (6, 0.125)
+        ]
 
 
 class TestScheduling:

@@ -1,6 +1,8 @@
 """Tests for the extended (multi-slot-length) algorithm (§IV-B2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BasicScheduler, DataAccess, ExtendedScheduler
 from repro.core.basic import ScheduleState
@@ -144,3 +146,61 @@ class TestFitting:
         for a in accesses:
             occupied.extend(a.occupied_slots())
         assert len(occupied) == len(set(occupied))
+
+
+class TestCandidateSlotsOracle:
+    """The windowed-sum ``_candidate_slots`` against the per-slot
+    ``is_available`` scan it replaces."""
+
+    @staticmethod
+    def reference(sched, a, state):
+        first, last_start = sched._first_last(a)
+        return [
+            t for t in range(first, last_start + 1) if state.is_available(a, t)
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        begin=st.integers(0, 20),
+        width=st.integers(0, 12),
+        length=st.integers(1, 4),
+        process=st.integers(0, 2),
+        taken=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(-4, 40)), max_size=30
+        ),
+        extended=st.booleans(),
+    )
+    def test_matches_per_slot_scan(
+        self, begin, width, length, process, taken, extended
+    ):
+        cls = ExtendedScheduler if extended else BasicScheduler
+        sched = cls(4, delta=2)
+        state = ScheduleState(n_nodes=4)
+        for owner, slot in taken:
+            state.occupied.setdefault(owner, set()).add(slot)
+        a = access(0, process, begin, begin + width, 0b1, length=length)
+        assert sched._candidate_slots(a, state) == self.reference(sched, a, state)
+
+    @pytest.mark.parametrize(
+        "length, expected", [(1, [3, 4]), (2, [3]), (3, [3]), (4, [])]
+    )
+    def test_overhanging_window(self, length, expected):
+        # A 2-slot window: lengths 3 and 4 overhang it from the start,
+        # and length 4 reaches the occupied slot 6.
+        sched = ExtendedScheduler(4, delta=2)
+        state = ScheduleState(n_nodes=4)
+        state.occupied[0] = {6}
+        a = access(0, 0, 3, 4, 0b1, length=length)
+        assert sched._candidate_slots(a, state) == expected
+        assert expected == self.reference(sched, a, state)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_empty_occupancy(self, length):
+        sched = ExtendedScheduler(4, delta=2)
+        state = ScheduleState(n_nodes=4)
+        state.occupied[0] = set()
+        a = access(0, 0, 2, 9, 0b1, length=length)
+        expected = list(range(2, 9 - length + 2))
+        assert sched._candidate_slots(a, state) == expected
+        del state.occupied[0]
+        assert sched._candidate_slots(a, state) == expected

@@ -1,6 +1,8 @@
 """Tests for the drive model: service, elevator, spin and RPM transitions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.disk import DiskRequest
 from repro.disk import states as st
@@ -240,3 +242,123 @@ class TestMultiSpeed:
         states = {iv.state for iv in drive.timeline.intervals()}
         assert any(s.startswith("rpm_down") for s in states)
         assert "idle@10800" in states
+
+
+# ----------------------------------------------------------------------
+# Elevator oracle: the sorted queue against the original linear scan
+# ----------------------------------------------------------------------
+class LinearScanElevator:
+    """Reference arm scheduler: the original ``_pick_next``, which keys
+    every queued request by cylinder on every pick and scans for the
+    nearest one ahead of the head."""
+
+    def __init__(self, fifo: bool):
+        self.fifo = fifo
+        self.queue: list[tuple[int, DiskRequest]] = []  # arrival order
+        self.head = 0
+        self.sweep_up = True
+
+    def submit(self, cylinder: int, request: DiskRequest) -> None:
+        self.queue.append((cylinder, request))
+
+    def pick(self) -> DiskRequest:
+        if len(self.queue) == 1 or self.fifo:
+            return self.queue.pop(0)[1]
+        keyed = [(cyl, i, r) for i, (cyl, r) in enumerate(self.queue)]
+        ahead = [k for k in keyed if (k[0] >= self.head) == self.sweep_up]
+        if not ahead:
+            self.sweep_up = not self.sweep_up
+            ahead = keyed
+        chosen = min(ahead, key=lambda k: (abs(k[0] - self.head), k[1]))
+        self.queue.pop(chosen[1])
+        return chosen[2]
+
+
+def _request_at(drive, cylinder: int) -> DiskRequest:
+    per_cylinder = drive.spec.capacity_bytes // drive.spec.cylinders
+    return DiskRequest(lba=cylinder * per_cylinder + 512, nbytes=4096)
+
+
+def _replay(sim, ops, arm_scheduling="elevator"):
+    """Drive the real queue and the reference through ``ops``; return
+    both (pick, sweep direction) traces.  A pick moves the head to the
+    served cylinder, as completing the request does."""
+    drive = make_drive(sim, arm_scheduling=arm_scheduling)
+    ref = LinearScanElevator(fifo=arm_scheduling == "fifo")
+    got, want = [], []
+    for op, cylinder in ops:
+        if op == "submit":
+            request = _request_at(drive, cylinder)
+            drive._enqueue(request)
+            assert request.cylinder == cylinder
+            ref.submit(cylinder, request)
+        elif op == "head":
+            drive._head_cylinder = ref.head = cylinder
+        elif drive.queue_depth:
+            picked = drive._pick_next()
+            got.append((picked.req_id, picked.cylinder, drive._sweep_up))
+            drive._head_cylinder = picked.cylinder
+            expected = ref.pick()
+            want.append((expected.req_id, expected.cylinder, ref.sweep_up))
+            ref.head = expected.cylinder
+    assert drive.queue_depth == len(ref.queue)
+    return got, want
+
+
+_ops = hst.lists(
+    hst.tuples(hst.sampled_from(["submit", "submit", "pick", "head"]),
+               hst.integers(0, 6)),
+    max_size=60,
+)
+
+
+class TestElevatorOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_ops)
+    def test_sorted_queue_matches_linear_scan(self, ops):
+        from repro.sim import Simulator
+
+        got, want = _replay(Simulator(), ops)
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_ops)
+    def test_fifo_matches_reference(self, ops):
+        from repro.sim import Simulator
+
+        got, want = _replay(Simulator(), ops, arm_scheduling="fifo")
+        assert got == want
+
+    def test_ties_within_a_cylinder_serve_in_arrival_order(self, sim):
+        ops = [("submit", 3)] * 4 + [("pick", 0)] * 4
+        got, want = _replay(sim, ops)
+        assert got == want
+        ids = [rid for rid, _cyl, _up in got]
+        assert ids == sorted(ids)
+
+    def test_down_sweep_skips_request_at_head_cylinder(self, sim):
+        # Nothing at or above cylinder 6 turns the sweep down onto 4.
+        # Then "ahead" is strictly below the head: 3 wins over the new
+        # request sitting at the head's cylinder 4.
+        ops = [("head", 6), ("submit", 2), ("submit", 4), ("pick", 0),
+               ("submit", 4), ("submit", 3)] + [("pick", 0)] * 3
+        got, want = _replay(sim, ops)
+        assert got == want
+        assert [(cyl, up) for _rid, cyl, up in got] == [
+            (4, False), (3, False), (2, False), (4, False)
+        ]
+
+    def test_lone_request_never_flips_the_sweep(self, sim):
+        ops = [("head", 6), ("submit", 0), ("pick", 0),
+               ("head", 6), ("submit", 0), ("submit", 1), ("pick", 0)]
+        got, want = _replay(sim, ops)
+        assert got == want
+        # The lone request below the head is served sweeping up; only a
+        # real choice with nothing ahead turns the sweep.
+        assert [(cyl, up) for _rid, cyl, up in got] == [(0, True), (1, False)]
+
+    def test_fifo_ignores_cylinders(self, sim):
+        ops = [("submit", 5), ("submit", 0), ("submit", 3)] + [("pick", 0)] * 3
+        got, want = _replay(sim, ops, arm_scheduling="fifo")
+        assert got == want
+        assert [cyl for _rid, cyl, _up in got] == [5, 0, 3]

@@ -5,6 +5,10 @@ import pytest
 from repro.disk import TABLE2_DISK, lba_to_cylinder, service_components
 
 
+def _cyl(lba: int) -> int:
+    return lba_to_cylinder(TABLE2_DISK, lba)
+
+
 class TestLbaMapping:
     def test_lba_zero_is_cylinder_zero(self):
         assert lba_to_cylinder(TABLE2_DISK, 0) == 0
@@ -22,7 +26,7 @@ class TestLbaMapping:
 class TestServiceComponents:
     def test_components_positive_for_random_access(self):
         parts = service_components(
-            TABLE2_DISK, 0, 50 * 2**30, 64 * 1024, 12_000
+            TABLE2_DISK, 0, _cyl(50 * 2**30), 64 * 1024, 12_000
         )
         assert parts.seek > 0
         assert parts.rotational_latency > 0
@@ -33,25 +37,26 @@ class TestServiceComponents:
 
     def test_sequential_hint_removes_seek(self):
         parts = service_components(
-            TABLE2_DISK, 0, 50 * 2**30, 64 * 1024, 12_000, sequential_hint=True
+            TABLE2_DISK, 0, _cyl(50 * 2**30), 64 * 1024, 12_000,
+            sequential_hint=True
         )
         assert parts.seek == 0.0
         assert parts.rotational_latency == TABLE2_DISK.head_switch_time
 
     def test_same_cylinder_access_has_no_seek(self):
         head = lba_to_cylinder(TABLE2_DISK, 12345)
-        parts = service_components(TABLE2_DISK, head, 12345, 4096, 12_000)
+        parts = service_components(TABLE2_DISK, head, _cyl(12345), 4096, 12_000)
         assert parts.seek == 0.0
 
     def test_longer_distance_longer_seek(self):
-        near = service_components(TABLE2_DISK, 0, 2**30, 4096, 12_000)
-        far = service_components(TABLE2_DISK, 0, 90 * 2**30, 4096, 12_000)
+        near = service_components(TABLE2_DISK, 0, _cyl(2**30), 4096, 12_000)
+        far = service_components(TABLE2_DISK, 0, _cyl(90 * 2**30), 4096, 12_000)
         assert far.seek > near.seek
 
     def test_low_rpm_slows_rotation_and_transfer(self):
         spec = TABLE2_DISK.with_multispeed()
-        fast = service_components(spec, 0, 2**30, 2**20, 12_000)
-        slow = service_components(spec, 0, 2**30, 2**20, 3_600)
+        fast = service_components(spec, 0, _cyl(2**30), 2**20, 12_000)
+        slow = service_components(spec, 0, _cyl(2**30), 2**20, 3_600)
         assert slow.rotational_latency > fast.rotational_latency
         assert slow.transfer > fast.transfer
 

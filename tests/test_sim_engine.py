@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import AllOf, AnyOf, Signal, Timeout
 from repro.sim.events import Event
+from repro.sim.kernels import kernel_names, make_kernel
 
 
 class TestScheduling:
@@ -151,6 +152,34 @@ class TestPendingCounter:
         assert len(sim._heap) < 100
         sim.run()
         assert sorted(seen) == list(range(10))
+
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_compaction_inside_run_keeps_order(self, kernel):
+        """Mass-canceling from a callback compacts the queue while the
+        run loop is draining it: no canceled event fires, every live
+        event — including ones scheduled after the compaction — fires in
+        (time, seq) order, and the counter ends at zero."""
+        sim = make_kernel(kernel)
+        fired = []
+        events = [sim.schedule(10.0 + i // 3, fired.append, i) for i in range(200)]
+        doomed = [e for i, e in enumerate(events) if i % 4]
+        canceled_after = []
+
+        def mass_cancel():
+            for event in doomed:
+                event.cancel()
+            canceled_after.append(sim._canceled)
+            for i in range(200, 210):
+                events.append(sim.schedule(5.0 + i % 7, fired.append, i))
+
+        sim.schedule(1.0, mass_cancel)
+        sim.run()
+        assert len(doomed) >= 2 * sim._COMPACT_MIN
+        assert canceled_after[0] < sim._COMPACT_MIN  # compaction ran
+        live = [i for i, e in enumerate(events) if not e.canceled]
+        assert not set(fired) & {i for i, e in enumerate(events) if e.canceled}
+        assert fired == sorted(live, key=lambda i: (events[i].time, events[i].seq))
+        assert sim.pending_events == 0
 
     def test_interleaved_cancel_and_execute(self, sim):
         """Cancels issued from inside callbacks keep the counter exact."""
