@@ -12,11 +12,10 @@ Thirteen subcommands:
 * ``bench`` — time the figure grid (serial vs parallel vs warm cache) and
   write a ``BENCH_*.json`` perf record; with ``--trace`` it also times a
   traced pass and ``--max-trace-overhead`` gates the slowdown; the record
-  carries per-point kernel throughput (events/sec) and a fixed kernel
-  shootout racing every simulation kernel on the ``sweep`` workload
-  (bit-identity asserted), it is diffed against the latest prior record
-  in ``--output-dir`` (a missing trajectory only warns), and
-  ``--profile [N]`` prints a cProfile top-N table per grid point;
+  carries per-point engine throughput (events/sec), it is diffed against
+  the latest prior record in ``--output-dir`` (a missing trajectory only
+  warns), and ``--profile [N]`` prints a cProfile top-N table per grid
+  point;
 * ``report`` — render a metrics snapshot produced by ``--metrics`` as
   grouped tables (or JSON), optionally merging several snapshots;
 * ``schedule`` — compile a workload's I/O schedule and print its stats
@@ -81,7 +80,6 @@ Examples::
 
     python -m repro list
     python -m repro run --app sar --policy history --scheme --scale 0.1
-    python -m repro run --app sweep --policy simple --kernel analytic
     python -m repro run --app sar --policy simple --scheme \\
         --trace out.jsonl --metrics out.json
     python -m repro report out.json --filter 'drive.*'
@@ -93,7 +91,7 @@ Examples::
     python -m repro tournament --scale 0.05 --jobs 4
     python -m repro tournament --workloads sar,hf --entrants hybrid,forecast
     python -m repro bench --quick --trace trace.jsonl --max-trace-overhead 0.05
-    python -m repro bench --quick --kernel calendar --profile 8
+    python -m repro bench --quick --profile 8
     python -m repro schedule --app hf --scale 0.1 --timeline
     python -m repro verify --scale 0.1           # all six workloads
     python -m repro verify --app madbench2 --json
@@ -133,7 +131,6 @@ from .experiments import (
     table3,
 )
 from .metrics import format_percent, format_table
-from .sim.kernels import DEFAULT_KERNEL, kernel_names
 from .workloads import all_workloads
 
 __all__ = ["main"]
@@ -259,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "issue window (needs --scheme to have any effect)")
     run_p.add_argument("--scale", type=float, default=None,
                        help="workload scale (default: REPRO_SCALE or 0.25)")
-    run_p.add_argument("--kernel", default=None, choices=kernel_names(),
-                       help="simulation kernel (default: "
-                       f"{DEFAULT_KERNEL}); results are bit-identical "
-                       "across kernels, only speed differs")
     run_p.add_argument("--clients", type=int, default=None)
     run_p.add_argument("--ionodes", type=int, default=None)
     run_p.add_argument("--delta", type=int, default=None)
@@ -276,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p = sub.add_parser("figure", help="regenerate a paper table/figure")
     fig_p.add_argument("name", choices=sorted(FIGURES))
     fig_p.add_argument("--scale", type=float, default=None)
-    fig_p.add_argument("--kernel", default=None, choices=kernel_names(),
-                       help="simulation kernel for every grid point "
-                       f"(default: {DEFAULT_KERNEL}; the figure output "
-                       "is identical either way)")
     fig_p.add_argument("--faults", default=None, metavar="PLAN.json",
                        help="inject the given fault plan into every grid "
                        "point of the figure")
@@ -303,18 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--jobs", type=int, default=4, metavar="N",
                          help="worker processes for the parallel pass")
     bench_p.add_argument("--scale", type=float, default=None)
-    bench_p.add_argument("--kernel", default=None, choices=kernel_names(),
-                         help="simulation kernel the grid passes run "
-                         f"under (default: {DEFAULT_KERNEL}); the kernel "
-                         "shootout always races all of them")
     bench_p.add_argument("--profile", type=int, nargs="?", const=12,
                          default=None, metavar="N",
                          help="also cProfile each grid point serially and "
                          "print the top N functions by tottime "
                          "(default N: 12)")
-    bench_p.add_argument("--no-shootout", action="store_true",
-                         help="skip the fixed-scale kernel shootout "
-                         "(sweep workload, all kernels)")
     bench_p.add_argument("--figures", nargs="*", default=None,
                          metavar="FIG", help="subset of figures to grid")
     bench_p.add_argument("--output-dir", default=".", metavar="DIR",
@@ -345,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tour_p.add_argument("--scale", type=float, default=None,
                         help="workload scale (default: REPRO_SCALE or 0.25)")
-    tour_p.add_argument("--kernel", default=None, choices=kernel_names(),
-                        help="simulation kernel for every cell "
-                        f"(default: {DEFAULT_KERNEL})")
     tour_p.add_argument("--workloads", default=None, metavar="A,B,...",
                         help="comma-separated workloads "
                         "(default: every registered workload)")
@@ -376,9 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--scale", type=float, default=None,
                          help="base workload scale submissions override "
                          "(default: REPRO_SCALE or 0.25)")
-    serve_p.add_argument("--kernel", default=None, choices=kernel_names(),
-                         help="base simulation kernel (default: "
-                         f"{DEFAULT_KERNEL})")
     serve_p.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes per batch (default: 1 = "
                          "in-process)")
@@ -541,8 +517,6 @@ def _config(args) -> "ExperimentConfig":
         value = getattr(args, attr, None)
         if value is not None:
             overrides[field] = value
-    if getattr(args, "kernel", None):
-        overrides["kernel"] = args.kernel
     if getattr(args, "reorder", False):
         overrides["reorder"] = True
     if getattr(args, "faults", None):
@@ -629,8 +603,6 @@ def _campaign_argv(args, command: str) -> list[str]:
                 argv += [flag, str(value)]
     if args.scale is not None:
         argv += ["--scale", repr(args.scale)]
-    if getattr(args, "kernel", None):
-        argv += ["--kernel", args.kernel]
     if getattr(args, "faults", None):
         argv += ["--faults", os.path.abspath(args.faults)]
     argv += ["--jobs", str(args.jobs)]
@@ -804,8 +776,6 @@ def cmd_figure(args, out) -> int:
     )
 
     cfg = default_config(scale=args.scale)
-    if getattr(args, "kernel", None):
-        cfg = cfg.scaled(kernel=args.kernel)
     if getattr(args, "faults", None):
         from .faults import load_plan
 
@@ -895,8 +865,6 @@ def cmd_bench(args, out) -> int:
               file=sys.stderr)
         return 2
     cfg = default_config(scale=scale)
-    if getattr(args, "kernel", None):
-        cfg = cfg.scaled(kernel=args.kernel)
     record = run_bench(
         config=cfg,
         figures=tuple(figures),
@@ -904,7 +872,6 @@ def cmd_bench(args, out) -> int:
         compare_serial=not args.no_serial,
         trace_path=args.trace,
         repeats=args.repeats,
-        shootout=not args.no_shootout,
         server=not args.no_server,
         tournament=not args.no_tournament,
     )
@@ -913,21 +880,6 @@ def cmd_bench(args, out) -> int:
             if isinstance(v, (int, float, str)) and k != "kind"]
     print(format_table(("field", "value"), rows, title="repro bench"),
           file=out)
-    shootout = record.get("kernel_shootout")
-    if shootout:
-        srows = [
-            (name, f"{k['seconds']:.4f} s", f"{k['events_per_sec']:,.0f}",
-             f"{k['effective_events_per_sec']:,.0f}",
-             f"{k['speedup_vs_heap']:.2f}x")
-            for name, k in shootout["kernels"].items()
-        ]
-        print(file=out)
-        print(format_table(
-            ("kernel", "seconds", "events/s", "effective ev/s", "speedup"),
-            srows,
-            title=f"kernel shootout ({shootout['workload']} @ scale "
-            f"{shootout['scale']}, best of {shootout['repeats']})",
-        ), file=out)
     server_block = record.get("server")
     if server_block:
         print(file=out)
@@ -1042,8 +994,6 @@ def cmd_tournament(args, out) -> int:
         return 2
 
     cfg = default_config(scale=args.scale)
-    if args.kernel:
-        cfg = cfg.scaled(kernel=args.kernel)
     executor, cache = _executor(args)
     supervisor = _supervisor(args, executor, "tournament")
     runner = Runner(cfg, cache=cache)
@@ -1127,8 +1077,6 @@ def cmd_serve(args, out) -> int:
     from .serve import SchedulingServer, ServerConfig
 
     cfg = default_config(scale=args.scale)
-    if args.kernel:
-        cfg = cfg.scaled(kernel=args.kernel)
     cache_dir = _resolved_cache_dir(args)
     if args.recover is not None and args.wal is not None \
             and args.recover != args.wal:

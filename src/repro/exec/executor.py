@@ -13,7 +13,7 @@ content-addressed :class:`~repro.exec.cache.ResultCache`:
 3. fresh results are written back to the cache (atomic, content-addressed,
    so concurrent writers are safe).
 
-The simulation kernel is deterministic (seeded tie-breaks, ordered event
+The simulation engine is deterministic (seeded tie-breaks, ordered event
 heap), so a parallel sweep returns bit-identical metrics to a serial one;
 ``tests/test_exec_executor.py`` locks that in.
 

@@ -30,7 +30,6 @@ __all__ = [
     "figure_points",
     "all_figure_points",
     "with_fault_plan",
-    "with_kernel",
     "GRID_FIGURES",
 ]
 
@@ -111,22 +110,6 @@ def with_fault_plan(
         RunPoint(
             p.workload, p.policy, p.scheme,
             p.config.scaled(fault_plan=plan),
-        )
-        for p in points
-    ]
-
-
-def with_kernel(points: Iterable[RunPoint], kernel: str) -> list[RunPoint]:
-    """The same grid re-keyed onto the named simulation kernel.
-
-    Like :func:`with_fault_plan`, the choice rides in the config, so the
-    executor, the cache and campaign journals separate kernels for free —
-    a differential corpus is just the same grid lifted three ways.
-    """
-    return [
-        RunPoint(
-            p.workload, p.policy, p.scheme,
-            p.config.scaled(kernel=kernel),
         )
         for p in points
     ]

@@ -152,6 +152,10 @@ def point_from_doc(
 ) -> tuple[str, str, bool, ExperimentConfig]:
     """Rebuild ``(workload, policy, scheme, config)`` from a point doc."""
     cfg = dict(doc["config"])
+    # Older writers recorded the simulation kernel too.  Every kernel
+    # produced identical results, so such a point replays exactly on the
+    # one engine there is now.
+    cfg.pop("kernel", None)
     plan_doc = cfg.get("fault_plan")
     cfg["fault_plan"] = (
         None if plan_doc is None else plan_from_dict(plan_doc)

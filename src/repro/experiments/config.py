@@ -64,27 +64,11 @@ class ExperimentConfig:
     # Workload scaling.
     workload_scale: float = 1.0
 
-    # Simulation kernel (see ``repro.sim.kernels``).  All kernels produce
-    # bit-identical results; the field still participates in ``to_key()``
-    # (as every dataclass field does) so memo tables, the result cache
-    # and campaign journals can never silently mix kernels — a kernel
-    # regression must be observable, not masked by a stale cache hit.
-    kernel: str = "heap"
-
     # Fault injection (``None`` = the perfect stack).  Part of the config
     # so fault plans are enumerable in experiment grids and participate
     # in every cache key — a faulted run can never collide with a clean
     # one in the ResultCache or the runner's memo tables.
     fault_plan: Optional[FaultPlan] = None
-
-    def __post_init__(self) -> None:
-        from ..sim.kernels import KERNELS
-
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown simulation kernel {self.kernel!r}; "
-                f"available: {', '.join(KERNELS)}"
-            )
 
     def disk_spec(self, multispeed: bool) -> DiskSpec:
         """Table II single-speed or DRPM disk."""
@@ -100,7 +84,6 @@ class ExperimentConfig:
             buffer_capacity_blocks=self.buffer_capacity_blocks,
             scheduler_min_lead=self.scheduler_min_lead,
             reorder=self.reorder,
-            kernel=self.kernel,
         )
 
     def scaled(self, **changes) -> "ExperimentConfig":

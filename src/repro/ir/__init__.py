@@ -9,7 +9,6 @@ the profiling executor :func:`trace_program` for everything.
 from .affine import Affine, as_affine, const, var
 from .dependence import (
     AffineDependenceAnalyzer,
-    compute_phases,
     solve_affine_equal,
 )
 from .profiling import AccessTrace, ProcessTrace, TracedIO, trace_program
@@ -32,5 +31,4 @@ __all__ = [
     "TracedIO",
     "AffineDependenceAnalyzer",
     "solve_affine_equal",
-    "compute_phases",
 ]

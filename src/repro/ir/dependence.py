@@ -25,53 +25,7 @@ __all__ = [
     "solve_affine_equal",
     "AffineDependenceAnalyzer",
     "certainly_cold_blocks",
-    "compute_phases",
 ]
-
-
-def compute_phases(
-    trace: AccessTrace, min_slots: int = 2
-) -> dict[int, list[tuple[int, int]]]:
-    """Per-process maximal I/O-free slot runs: ``pid → [(start, stop), …]``.
-
-    A *compute phase* is a maximal half-open slot range ``[start, stop)``
-    in which a process performs no I/O whatsoever — its simulated
-    behaviour there is a pure chain of compute timeouts, exactly solvable
-    in closed form.  This is the analytic kernel's work list: each run
-    collapses to a single event.
-
-    Affine programs only: for them the symbolic walk *is* the dynamic
-    execution (the same guarantee :class:`AffineDependenceAnalyzer`
-    rests on), so a slot the oracle sees as I/O-free is I/O-free in every
-    run.  For non-affine programs the trace is merely one profiled
-    execution and proves nothing — callers get a ``ValueError`` instead
-    of an unsound phase plan.
-
-    Runs shorter than ``min_slots`` are dropped: collapsing a single slot
-    replaces one Timeout with one ComputePhase and saves nothing.
-    """
-    if not trace.program.is_affine:
-        raise ValueError(
-            f"program {trace.program.name!r} is not affine; compute phases "
-            "cannot be certified from a profiled trace"
-        )
-    phases: dict[int, list[tuple[int, int]]] = {}
-    for proc in trace.processes:
-        io_slots = {io.slot for io in proc.ios}
-        runs: list[tuple[int, int]] = []
-        start: int | None = None
-        for slot in range(proc.n_slots):
-            if slot in io_slots:
-                if start is not None and slot - start >= min_slots:
-                    runs.append((start, slot))
-                start = None
-            elif start is None:
-                start = slot
-        if start is not None and proc.n_slots - start >= min_slots:
-            runs.append((start, proc.n_slots))
-        if runs:
-            phases[proc.process] = runs
-    return phases
 
 
 def certainly_cold_blocks(trace: AccessTrace) -> set[tuple[str, int]]:
@@ -202,11 +156,6 @@ class AffineDependenceAnalyzer:
         the energy analyzer uses whichever path the program admits.
         """
         return certainly_cold_blocks(self._ensure_trace())
-
-    def compute_phases(self, min_slots: int = 2) -> dict[int, list[tuple[int, int]]]:
-        """Certified I/O-free slot runs per process (see
-        :func:`compute_phases`), derived from the polyhedral walk."""
-        return compute_phases(self._ensure_trace(), min_slots=min_slots)
 
     def writers_of_block(
         self, file: str, block: int

@@ -5,7 +5,7 @@ Three layers:
 * :mod:`repro.obs.base` / :mod:`repro.obs.metrics` /
   :mod:`repro.obs.tracer` — the dependency-light core (null-tracer
   pattern, metrics registry, JSONL span tracer) importable from the
-  simulation kernel without cycles;
+  simulation engine without cycles;
 * :mod:`repro.obs.collect` — walks a finished
   :class:`~repro.runtime.session.SessionResult` and populates a registry
   (drive state residency, energy breakdowns, buffer/cache/network/

@@ -9,7 +9,7 @@ histograms and scheduler stall clocks, both gated the same way) they are
 derived *after* the run from state the simulator already keeps
 (timelines, stats dataclasses), so the hot path is untouched.
 
-This module is dependency-free so the simulation kernel can import it
+This module is dependency-free so the simulation engine can import it
 without cycles; the heavier pieces live in :mod:`repro.obs.metrics`,
 :mod:`repro.obs.tracer`, :mod:`repro.obs.collect` and
 :mod:`repro.obs.report`.

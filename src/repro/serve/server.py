@@ -2,7 +2,7 @@
 
 :class:`SchedulingServer` turns the one-shot executor/supervisor stack
 into a long-lived service: many concurrent clients submit experiment
-points (workload/policy/scheme/config/kernel/fault-plan) over
+points (workload/policy/scheme/config/fault-plan) over
 JSON-over-HTTP, and the server resolves them through the exact same
 machinery ``repro run`` uses — :func:`~repro.exec.executor
 .ExperimentExecutor.resolve_cached` against a content-addressed

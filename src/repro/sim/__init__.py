@@ -1,35 +1,21 @@
-"""Discrete-event simulation kernel (AccuSim substitute).
+"""Discrete-event simulation engine (AccuSim substitute).
 
-Exports the pluggable kernels — the reference heap :class:`Simulator`,
-the :class:`CalendarSimulator` bucketed-time queue and the hybrid
-:class:`AnalyticSimulator` affine fast path — plus process/event
-primitives and the :class:`StateTimeline` tracer used for power/idle
-accounting.  Use :func:`make_kernel` to construct by registry name.
+Exports the heap :class:`Simulator`, process/event primitives and the
+:class:`StateTimeline` tracer used for power/idle accounting.
 """
 
-from .analytic import AnalyticSimulator, phase_energy_bounds
-from .calendar import CalendarSimulator
 from .engine import SimProcess, Simulator
-from .events import AllOf, AnyOf, ComputePhase, Event, Signal, Timeout
-from .kernels import DEFAULT_KERNEL, KERNELS, kernel_names, make_kernel
+from .events import AllOf, AnyOf, Event, Signal, Timeout
 from .trace import Interval, StateTimeline
 
 __all__ = [
     "Simulator",
-    "CalendarSimulator",
-    "AnalyticSimulator",
     "SimProcess",
     "Event",
     "Timeout",
-    "ComputePhase",
     "Signal",
     "AllOf",
     "AnyOf",
     "Interval",
     "StateTimeline",
-    "KERNELS",
-    "DEFAULT_KERNEL",
-    "kernel_names",
-    "make_kernel",
-    "phase_energy_bounds",
 ]

@@ -1,6 +1,6 @@
-"""Event primitives for the discrete-event simulation kernel.
+"""Event primitives for the discrete-event simulation engine.
 
-The kernel is deliberately small: a scheduled :class:`Event` is a callback
+The engine is deliberately small: a scheduled :class:`Event` is a callback
 bound to a simulation time, and a :class:`Signal` is a one-shot waitable
 condition that simulation processes (generators) can block on.  This is the
 minimal vocabulary needed to co-simulate client processes, runtime scheduler
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Optional
 
-__all__ = ["Event", "Timeout", "ComputePhase", "Signal", "AllOf", "AnyOf"]
+__all__ = ["Event", "Timeout", "Signal", "AllOf", "AnyOf"]
 
 _event_ids = itertools.count()
 
@@ -80,30 +80,6 @@ class Timeout:
         return f"Timeout({self.delay})"
 
 
-class ComputePhase:
-    """Yielded by a process to jump to a precomputed *absolute* time.
-
-    The analytic fast path collapses a run of ``n_slots`` I/O-free compute
-    slots into one event.  The target time is computed by the client with
-    exactly the chained additions the per-slot path would have performed
-    (``t = t + cost`` per slot), so it must be delivered verbatim: going
-    through :class:`Timeout` would re-derive it as ``now + (t - now)``,
-    which is *not* ``t`` in floating point.  Kernels honour it via
-    ``schedule_at_exact``.
-    """
-
-    __slots__ = ("resume_at", "n_slots")
-
-    def __init__(self, resume_at: float, n_slots: int = 1):
-        if n_slots < 1:
-            raise ValueError(f"phase must cover at least one slot: {n_slots}")
-        self.resume_at = resume_at
-        self.n_slots = n_slots
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ComputePhase(resume_at={self.resume_at}, slots={self.n_slots})"
-
-
 _NO_WAITERS: tuple = ()
 
 
@@ -132,7 +108,7 @@ class Signal:
         self._waiters: Optional[list[Callable[[Any], None]]] = None
 
     def add_waiter(self, resume: Callable[[Any], None]) -> None:
-        """Register a resume callback (kernel use)."""
+        """Register a resume callback (engine use)."""
         waiters = self._waiters
         if waiters is None:
             self._waiters = [resume]

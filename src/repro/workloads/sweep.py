@@ -3,20 +3,14 @@
 Not one of the paper's six Table III applications: this model captures
 the *sweep/scan* access pattern of the disk-scheduling related work
 (Dash et al., ODSA) — long, perfectly regular compute phases between
-sparse, strided frame I/O.  It exists for two reasons:
-
-* it is the pattern the paper's software-directed scheme is *best* at
-  (every access statically resolvable, deep inter-I/O idle windows that
-  let disks spin down fully), and
-* those same certified I/O-free phases are exactly what the analytic
-  simulation kernel solves in closed form, so this workload is the
-  benchmark's affine-heavy speedup probe (``repro bench`` kernel
-  shootout).
+sparse, strided frame I/O.  It is the pattern the paper's
+software-directed scheme is *best* at: every access statically
+resolvable, deep inter-I/O idle windows that let disks spin down fully.
 
 Per frame each process reads its two input stripe blocks, crunches them
 through a long run of fixed-cost compute slots, and checkpoints one
 output block.  All subscripts affine, all costs constant ⇒ polyhedral
-path, fully collapsible phases.
+path.
 
 It registers like any workload (``repro run --app sweep``) but is *not*
 added to the figure grids — the paper's figures stay the paper's.
@@ -74,7 +68,7 @@ register(
         name="sweep",
         description="Raster-scan sweep: strided frame reads, long "
         "constant-cost compute phases, checkpoint writes — the "
-        "regular pattern the analytic kernel solves in closed form",
+        "regular pattern the compiler scheme schedules best",
         build=build,
         affine=True,
     )

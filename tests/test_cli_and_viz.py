@@ -118,36 +118,30 @@ class TestCommands:
         assert record["parallel_seconds"] > 0
         assert record["warm"]["simulated"] == 0
         assert record["warm"]["cache_hits"] == record["points"]
-        # Kernel instrumentation rides in every record.
-        assert record["kernel"] == "heap"
+        # Engine throughput rides in every record.
         assert record["events_per_sec"] > 0
         assert len(record["point_stats"]) == record["points"]
-        shootout = record["kernel_shootout"]
-        assert shootout["identical"] is True
-        assert set(shootout["kernels"]) == {"heap", "calendar", "analytic"}
-        assert "kernel shootout" in text
+        assert all(
+            set(p) == {"point", "events", "seconds", "events_per_sec"}
+            for p in record["point_stats"]
+        )
         # First record in an empty output dir seeds the trajectory.
         assert "seeds the trajectory" in text
 
-    def test_bench_kernel_profile_no_shootout(self, tmp_path):
+    def test_bench_profile(self, tmp_path):
         import json
 
         code, text = run_cli(
             "bench", "--quick", "--jobs", "1", "--no-serial",
-            "--figures", "table3", "--kernel", "calendar",
-            "--no-shootout", "--profile", "5",
+            "--figures", "table3", "--profile", "5",
             "--output-dir", str(tmp_path),
         )
         assert code == 0
         record = json.loads(next(tmp_path.glob("BENCH_*.json")).read_text())
-        assert record["kernel"] == "calendar"
-        assert "kernel_shootout" not in record
-        assert all(
-            p["kernel"] == "calendar" for p in record["point_stats"]
-        )
         # cProfile tables printed per point, never persisted.
         assert "tottime" in text
         assert "profile" in text
+        assert "profile" not in record
 
     def test_bench_rejects_unknown_figure(self, tmp_path):
         code, _text = run_cli(

@@ -1,10 +1,13 @@
 """Golden ``RunResult`` digests for the bench quick grid.
 
 The 36 points of ``repro bench --quick`` (Table 3 and Figs 12a-c at scale
-0.05) are simulated and each canonical ``run_result_to_dict`` document is
-hashed with sha256.  Any change to simulated behaviour moves a digest, so
-a refactor of the compiler, the engine or the disk model that claims to
-be behaviour-preserving is checked here.  A digest may only move together
+0.05) are simulated, plus three recovery-path points: the sample fault
+plan ``examples/fault_plan.json`` on two points and a degraded RAID-5
+array (a dead member on ``node0``, reads rebuilt from parity).  Each
+canonical ``run_result_to_dict`` document is hashed with sha256.  Any
+change to simulated behaviour moves a digest, so a refactor of the
+compiler, the engine or the disk model that claims to be
+behaviour-preserving is checked here.  A digest may only move together
 with a ``SCHEMA_VERSION`` bump.
 
 The golden file also keeps each point's fields — scalars verbatim, lists
@@ -24,13 +27,36 @@ from typing import Any
 import pytest
 
 from repro.exec.bench import QUICK_FIGURES
+from repro.exec.executor import RunPoint
 from repro.exec.grid import all_figure_points
 from repro.exec.serialize import SCHEMA_VERSION, canonical_dumps, run_result_to_dict
-from repro.experiments.config import default_config
+from repro.experiments.config import ExperimentConfig, default_config
 from repro.experiments.runner import Runner
+from repro.faults import FaultEvent, FaultPlan, load_plan
 
 GOLDEN = Path(__file__).parent / "golden" / "paper_grid.json"
+SAMPLE_PLAN = Path(__file__).resolve().parent.parent / "examples" / "fault_plan.json"
 SCALE = 0.05
+
+#: RAID-5 with a dead member: parity reconstruction on the read path.
+DEGRADED_RAID5 = ExperimentConfig(
+    n_clients=8, n_ionodes=2, workload_scale=SCALE,
+    disks_per_node=3, raid_level=5,
+    fault_plan=FaultPlan(events=(
+        FaultEvent(kind="disk.fail", target="node0.disk1", time=0.0),
+    )),
+)
+
+
+def recovery_points() -> list[tuple[str, RunPoint]]:
+    """``(label, point)`` for the faulted and degraded-mode points."""
+    faulted = default_config(scale=SCALE).scaled(fault_plan=load_plan(SAMPLE_PLAN))
+    points = [
+        ("fault_plan", RunPoint("hf", "simple", True, faulted)),
+        ("fault_plan", RunPoint("madbench2", "history", False, faulted)),
+        ("degraded_raid5", RunPoint("sar", "simple", False, DEGRADED_RAID5)),
+    ]
+    return [(f"{tag}:{point.label()}", point) for tag, point in points]
 
 
 def _sha256(obj: Any) -> str:
@@ -50,11 +76,12 @@ def grid_document() -> dict:
     """Digest and field view of every quick-grid point."""
     cfg = default_config(scale=SCALE)
     runner = Runner(cfg)
+    labelled = [(p.label(), p) for p in all_figure_points(cfg, QUICK_FIGURES)]
     points = {}
-    for point in all_figure_points(cfg, QUICK_FIGURES):
+    for label, point in labelled + recovery_points():
         result = runner.run(point.workload, point.policy, point.scheme, point.config)
         doc = run_result_to_dict(result)
-        points[point.label()] = {
+        points[label] = {
             "digest": _sha256(doc),
             "fields": {k: _field_view(v) for k, v in doc.items()},
         }
@@ -106,7 +133,7 @@ def test_golden_file_matches_schema_and_grid(golden):
     )
     assert golden["scale"] == SCALE
     assert golden["figures"] == list(QUICK_FIGURES)
-    assert len(golden["points"]) == 36
+    assert len(golden["points"]) == 36 + len(recovery_points())
 
 
 def test_quick_grid_matches_golden_digests(golden):

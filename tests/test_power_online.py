@@ -39,7 +39,7 @@ from repro.power import (
 
 from conftest import drain, fast_spec, multispeed_fast_spec, submit_read
 
-#: Same shape as the kernels corpus: full-stack, sub-second per point.
+#: Full-stack and small: every layer runs, sub-second per point.
 SMALL = ExperimentConfig(n_clients=8, n_ionodes=4, workload_scale=0.05)
 
 #: The three fault scenarios the tournament runs, anchored on SMALL.

@@ -118,12 +118,12 @@ class TestParsePoint:
                 "workload": "hf",
                 "policy": "history",
                 "scheme": True,
-                "config": {"delta": 40, "kernel": "calendar"},
+                "config": {"delta": 40, "theta": 6},
             },
             TINY,
         )
         assert point.config.delta == 40
-        assert point.config.kernel == "calendar"
+        assert point.config.theta == 6
         assert point.config.workload_scale == TINY.workload_scale
 
     def test_fault_plan_override(self):
@@ -164,6 +164,12 @@ class TestParsePoint:
         with pytest.raises(HttpError) as exc_info:
             parse_point(doc, TINY)
         assert exc_info.value.status == 400
+
+    def test_kernel_is_an_unknown_config_field(self):
+        with pytest.raises(HttpError) as exc_info:
+            parse_point({"workload": "sar", "config": {"kernel": "heap"}}, TINY)
+        assert exc_info.value.status == 400
+        assert "unknown config field" in str(exc_info.value)
 
 
 class TestParseTenant:

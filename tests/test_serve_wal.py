@@ -19,6 +19,7 @@ import pytest
 from repro.exec.journal import (
     DurableJournal,
     load_wal,
+    point_from_doc,
     point_to_doc,
     wal_admit,
     wal_header,
@@ -31,6 +32,22 @@ from repro.serve.server import DEFAULT_TENANT, parse_point
 
 TINY = ExperimentConfig(workload_scale=0.05)
 SUBMIT_SAR = {"workload": "sar", "policy": "simple", "scheme": False}
+
+#: An admission WAL as written before the simulation-kernel option was
+#: removed: the admit record's config still carries ``"kernel": "heap"``.
+KERNEL_ERA_WAL = (
+    '{"kind":"admission-wal","schema":1}\n'
+    '{"digest":"d3492aa9e1ebc700cc942cf4f8023ffa511a987ff3ced7b892368688188d7331",'
+    '"job":"j000001-d3492aa9e1eb","kind":"admit","label":"sar/simple/plain",'
+    '"point":{"config":{"buffer_capacity_blocks":2048,"cache_bytes":67108864,'
+    '"credit_slack":0.05,"delta":20,"disks_per_node":1,"fault_plan":null,'
+    '"forecast_epoch":30.0,"granularity":1,"history_utilization_bound":0.8,'
+    '"hybrid_divergence":2.0,"kernel":"heap","max_slack":200,"n_clients":32,'
+    '"n_ionodes":8,"prediction_margin":1.0,"raid_level":0,"reorder":false,'
+    '"scheduler_min_lead":2,"simple_timeout":38.0,"staggered_step":4.5,'
+    '"stripe_size":65536,"theta":4,"workload_scale":0.05},'
+    '"policy":"simple","scheme":false,"workload":"sar"},"tenant":"default"}\n'
+)
 
 
 def _config(tmp_path, wal, **overrides):
@@ -196,6 +213,35 @@ class TestRecovery:
 
             _header, jobs = load_wal(wal)
             assert jobs[job_id].state == "done"
+
+        asyncio.run(scenario())
+
+    def test_kernel_era_admit_record_recovers(self, tmp_path):
+        """A WAL written while configs still named a simulation kernel
+        replays: the ``kernel`` key is dropped and the job completes."""
+        wal = tmp_path / "wal.jsonl"
+        wal.write_text(KERNEL_ERA_WAL)
+        _header, jobs = load_wal(wal)
+        job_id = "j000001-d3492aa9e1eb"
+        assert point_from_doc(jobs[job_id].point_doc) == (
+            "sar", "simple", False, TINY,
+        )
+
+        async def scenario():
+            server = SchedulingServer(_config(tmp_path, wal, recover=True))
+            await server.start()
+            client = HttpClient("127.0.0.1", server.port)
+            try:
+                assert (
+                    server.metrics.counter("server.recovery.replayed").value
+                    == 1
+                )
+                done = await _await_done(client, job_id)
+                assert done["state"] == "done"
+                assert done["result"]["energy_joules"] > 0
+            finally:
+                await client.close()
+                await server.stop()
 
         asyncio.run(scenario())
 

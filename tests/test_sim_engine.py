@@ -1,10 +1,9 @@
-"""Tests for the discrete-event simulation kernel."""
+"""Tests for the discrete-event simulation engine."""
 
 import pytest
 
 from repro.sim import AllOf, AnyOf, Signal, Timeout
 from repro.sim.events import Event
-from repro.sim.kernels import kernel_names, make_kernel
 
 
 class TestScheduling:
@@ -153,13 +152,11 @@ class TestPendingCounter:
         sim.run()
         assert sorted(seen) == list(range(10))
 
-    @pytest.mark.parametrize("kernel", kernel_names())
-    def test_compaction_inside_run_keeps_order(self, kernel):
+    def test_compaction_inside_run_keeps_order(self, sim):
         """Mass-canceling from a callback compacts the queue while the
         run loop is draining it: no canceled event fires, every live
         event — including ones scheduled after the compaction — fires in
         (time, seq) order, and the counter ends at zero."""
-        sim = make_kernel(kernel)
         fired = []
         events = [sim.schedule(10.0 + i // 3, fired.append, i) for i in range(200)]
         doomed = [e for i, e in enumerate(events) if i % 4]
@@ -382,3 +379,20 @@ class TestProcesses:
             ("a", 1.0), ("b", 1.5), ("a", 2.0), ("b", 3.0), ("a", 3.0),
             ("b", 4.5),
         ]
+
+
+class TestLazyWaiters:
+    def test_no_list_until_first_waiter(self):
+        sig = Signal("s")
+        assert sig.waiter_count == 0
+        assert sig._waiters is None
+        hits = []
+        sig.add_waiter(hits.append)
+        assert sig.waiter_count == 1
+        assert sig.fire("v") == [hits.append]
+
+    def test_fire_with_no_waiters_is_empty(self):
+        sig = Signal("s", restartable=True)
+        assert sig.fire(None) == ()
+        sig.reset()
+        assert sig.fire(None) == ()
