@@ -59,7 +59,7 @@ covered, ``--strict`` promotes warnings to failures, and exit codes mean
 0 = clean, 1 = findings (errors, or warnings under ``--strict``),
 2 = usage/environment error.
 
-``run`` and ``figure`` go through the parallel executor: ``--jobs N``
+``run`` and ``figure`` go through the campaign engine: ``--jobs N``
 fans simulations out over N worker processes, and every finished point is
 persisted in a content-addressed cache (``--cache-dir``, default
 ``$REPRO_CACHE_DIR`` or ``.repro-cache``; disable with ``--no-cache``) so
@@ -541,7 +541,7 @@ def _resolved_cache_dir(args) -> Optional[str]:
 
 
 def _executor(args):
-    """Build (executor, cache) from the shared --jobs/--cache/obs flags."""
+    """Build the executor from the shared --jobs/--cache/obs flags."""
     import tempfile
 
     from .exec import ExperimentExecutor, ResultCache
@@ -553,14 +553,13 @@ def _executor(args):
         # Per-point snapshots land in a scratch dir; the command merges
         # them into the single --metrics file once the grid resolves.
         metrics_dir = tempfile.mkdtemp(prefix="repro-metrics-")
-    executor = ExperimentExecutor(
+    return ExperimentExecutor(
         jobs=args.jobs,
         cache=cache,
         metrics_dir=metrics_dir,
         trace_path=getattr(args, "trace", None),
         trace_detail=getattr(args, "trace_detail", False),
     )
-    return executor, cache
 
 
 def _campaign_argv(args, command: str) -> list[str]:
@@ -626,8 +625,8 @@ def _campaign_argv(args, command: str) -> list[str]:
 
 
 def _supervisor(args, executor, command: str):
-    """The campaign supervisor for a run/figure invocation (always built:
-    with default flags it adds nothing but crash-retry to the executor)."""
+    """The campaign supervisor for a run/figure/tournament invocation
+    (with default flags it retries a crashed point once)."""
     from .exec import CampaignJournal, CampaignSupervisor, SupervisorPolicy
 
     journal = None
@@ -699,6 +698,7 @@ def cmd_list(_args, out) -> int:
 def cmd_run(args, out) -> int:
     from .exec import (
         CampaignFailed,
+        CampaignSupervisor,
         ExperimentExecutor,
         PointTimeout,
         RunPoint,
@@ -707,9 +707,9 @@ def cmd_run(args, out) -> int:
     )
 
     cfg = _config(args)
-    executor, cache = _executor(args)
+    executor = _executor(args)
     supervisor = _supervisor(args, executor, "run")
-    runner = Runner(cfg, cache=cache)
+    runner = Runner(cfg)
     base_point = RunPoint(args.app, "default", False, cfg)
     target_point = RunPoint(args.app, args.policy, args.scheme, cfg)
     try:
@@ -720,8 +720,10 @@ def cmd_run(args, out) -> int:
             # per-family energy gauges would no longer sum to the total
             # exactly.
             if target_point != base_point:
-                plain = ExperimentExecutor(jobs=args.jobs, cache=cache)
-                plain.warm_runner(runner, [base_point])
+                baseline = CampaignSupervisor(
+                    ExperimentExecutor(jobs=args.jobs, cache=executor.cache)
+                )
+                baseline.warm_runner(runner, [base_point])
             report = supervisor.warm_runner(runner, [target_point])
         else:
             report = supervisor.warm_runner(
@@ -780,9 +782,9 @@ def cmd_figure(args, out) -> int:
         from .faults import load_plan
 
         cfg = cfg.scaled(fault_plan=load_plan(args.faults))
-    executor, cache = _executor(args)
+    executor = _executor(args)
     supervisor = _supervisor(args, executor, "figure")
-    runner = Runner(cfg, cache=cache)
+    runner = Runner(cfg)
     try:
         report = supervisor.warm_runner(runner, figure_points(args.name, cfg))
     except KeyboardInterrupt:
@@ -819,6 +821,14 @@ def cmd_resume(args, out) -> int:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 2
     argv = [str(piece) for piece in header["argv"]]
+    # Journals written while several simulation kernels existed record a
+    # ``--kernel <name>`` pair; every kernel produced identical results,
+    # so dropping it is exact (``point_from_doc`` drops the config field
+    # the same way).  Such a resume re-simulates every point: ``to_key()``
+    # lost the kernel field, so the old cache entries no longer match.
+    while "--kernel" in argv[:-1]:
+        at = argv.index("--kernel")
+        del argv[at:at + 2]
     if args.jobs is not None:
         if "--jobs" in argv:
             argv[argv.index("--jobs") + 1] = str(args.jobs)
@@ -994,9 +1004,9 @@ def cmd_tournament(args, out) -> int:
         return 2
 
     cfg = default_config(scale=args.scale)
-    executor, cache = _executor(args)
+    executor = _executor(args)
     supervisor = _supervisor(args, executor, "tournament")
-    runner = Runner(cfg, cache=cache)
+    runner = Runner(cfg)
     try:
         doc = run_tournament(
             cfg,

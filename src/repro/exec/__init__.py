@@ -1,5 +1,5 @@
-"""Parallel experiment execution: process-pool fan-out, content-addressed
-result caching, grid enumeration and the ``repro bench`` perf harness.
+"""Experiment execution: one campaign engine, content-addressed result
+caching, grid enumeration and the ``repro bench`` perf harness.
 
 Layout:
 
@@ -8,15 +8,19 @@ Layout:
   :data:`~repro.exec.serialize.SCHEMA_VERSION`;
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, a content-addressed
   on-disk store keyed by the canonical config digest;
-* :mod:`~repro.exec.executor` — :class:`ExperimentExecutor` and the
-  worker entry points (one shared Runner per worker, verify gating);
+* :mod:`~repro.exec.executor` — :class:`RunPoint`, :func:`execute_point`
+  (verify gating, then simulation) and :class:`ExperimentExecutor`, the
+  jobs/cache/verify/observability settings a campaign runs under;
 * :mod:`~repro.exec.grid` — which run points each paper figure consumes;
 * :mod:`~repro.exec.journal` — :class:`DurableJournal`, the fsync'd
   truncated-tail-tolerant JSONL substrate shared by the campaign journal
   and the scheduling server's admission WAL (``repro serve --recover``);
-* :mod:`~repro.exec.supervise` — :class:`CampaignSupervisor`: watchdog
-  timeouts, seeded-backoff retries, worker-crash recovery/quarantine,
-  the resumable JSONL campaign journal and partial-failure reports;
+* :mod:`~repro.exec.supervise` — :class:`CampaignSupervisor`, the one
+  engine that resolves grid points (cache, verify, simulate, store;
+  serial or on a process pool with one shared Runner per worker), with
+  watchdog timeouts, seeded-backoff retries, worker-crash
+  recovery/quarantine, the resumable JSONL campaign journal and
+  partial-failure reports;
 * :mod:`~repro.exec.bench` — timed grid execution and ``BENCH_*.json``
   perf records.
 """

@@ -1,16 +1,17 @@
 """``repro bench`` — timed execution of the figure grid.
 
-Times the same cold grid three ways — serial in-process, parallel through
-the executor, then a warm-cache replay — and writes a ``BENCH_*.json``
-perf record so successive PRs have a wall-clock trajectory to compare
-against.  The warm pass doubles as an end-to-end cache check: it must
-perform **zero** simulations.
+Times the same grid three ways, each a pass of the campaign supervisor
+(the one engine that runs grid points): a cache-free ``jobs=1`` serial
+baseline, a cold parallel pass at ``jobs``, then a warm-cache replay —
+and writes a ``BENCH_*.json`` perf record so successive PRs have a
+wall-clock trajectory to compare against.  The warm pass doubles as an
+end-to-end cache check: it must perform **zero** simulations.
 
-The parallel pass runs under the campaign supervisor in keep-going mode,
-and the record carries a schema-stable ``failures`` block (count, retry/
-timeout/worker-death/quarantine tallies, failed point labels — all zero/
-empty on a clean run), so BENCH JSON stays comparable under partial
-failure instead of the record simply not existing.
+The parallel pass runs in keep-going mode, and the record carries a
+schema-stable ``failures`` block (count, retry/timeout/worker-death/
+quarantine tallies, failed point labels — all zero/empty on a clean
+run), so BENCH JSON stays comparable under partial failure instead of
+the record simply not existing.
 
 Besides wall-clock, the record carries engine throughput: each grid
 point is measured once serially (``point_stats``: events executed,
@@ -33,7 +34,7 @@ from typing import Optional, Sequence, TextIO
 from ..experiments.config import ExperimentConfig, default_config
 from ..experiments.runner import Runner
 from .cache import ResultCache
-from .executor import ExperimentExecutor, RunPoint, execute_point
+from .executor import ExperimentExecutor, RunPoint
 from .grid import GRID_FIGURES, all_figure_points
 from .serialize import SCHEMA_VERSION
 from .supervise import CampaignSupervisor, SupervisorPolicy
@@ -53,11 +54,10 @@ QUICK_FIGURES = ("table3", "fig12a", "fig12b", "fig12c")
 
 
 def _time_serial(points: Sequence[RunPoint], verify: bool) -> float:
-    """One cold serial pass through the grid."""
-    runner = Runner(points[0].config)
+    """One cold, cache-free ``jobs=1`` supervisor pass through the grid."""
+    supervisor = CampaignSupervisor(ExperimentExecutor(jobs=1, verify=verify))
     start = time.perf_counter()  # det: wall-clock duration is the benchmark's measurement
-    for point in points:
-        execute_point(runner, point, verify=verify)
+    supervisor.run_points(points)
     return time.perf_counter() - start  # det: wall-clock duration is the benchmark's measurement
 
 
@@ -483,7 +483,7 @@ def run_bench(
             jobs=jobs, cache=ResultCache(Path(cache_dir)), verify=verify
         )
         start = time.perf_counter()  # det: wall-clock duration is the benchmark's measurement
-        warm.run_points(points)
+        CampaignSupervisor(warm).run_points(points)
         record["warm_seconds"] = round(time.perf_counter() - start, 4)  # det: wall-clock duration is the benchmark's measurement
         record["warm"] = warm.stats.as_dict()
 

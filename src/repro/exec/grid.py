@@ -3,9 +3,9 @@
 Each figure driver in :mod:`repro.experiments.figures` walks its grid by
 calling ``runner.run(...)`` serially; these helpers enumerate exactly the
 :class:`~repro.exec.executor.RunPoint`\\ s each figure will ask for, so the
-executor can materialize them (in parallel, through the cache) *before*
-the driver runs.  The enumerations reuse the figures module's own sweep
-constants — if a sweep changes there, the grid follows.
+campaign engine can materialize them (in parallel, through the cache)
+*before* the driver runs.  The enumerations reuse the figures module's
+own sweep constants — if a sweep changes there, the grid follows.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def figure_points(
     name: str, cfg: Optional[ExperimentConfig] = None
 ) -> list[RunPoint]:
     """The run points figure ``name`` consumes (may contain duplicates
-    across figures; the executor deduplicates)."""
+    across figures; the campaign engine deduplicates)."""
     from ..experiments.config import default_config
 
     cfg = cfg or default_config()

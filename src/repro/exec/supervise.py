@@ -1,9 +1,15 @@
-"""Resilient campaign supervision over :class:`ExperimentExecutor`.
+"""The campaign engine: every grid point is resolved here.
 
-The plain executor is fail-stop: one worker death or hung point aborts
-the whole campaign and discards every in-flight result.
-:class:`CampaignSupervisor` wraps it with the machinery a multi-hour
-figure campaign needs to survive partial failure:
+:class:`CampaignSupervisor` is the one code path that runs grid points.
+Over an :class:`ExperimentExecutor` (jobs, cache, verify gate,
+observability outputs) it resolves each point by cache lookup, then
+verify and simulate (:func:`~repro.exec.executor.execute_point`) —
+in-process for ``jobs=1``, a single miss or a traced pass, otherwise on
+a process pool whose workers each keep one :class:`Runner` — and stores
+each fresh result the moment its point completes.  The default policy
+retries a non-verify failure once and fails fast; on top of that it
+carries the machinery a multi-hour figure campaign needs to survive
+partial failure:
 
 * **watchdog timeout** — a point that exceeds ``timeout`` seconds has
   its (unkillable-in-place) worker pool torn down and respawned; the
@@ -36,8 +42,8 @@ Outcome vocabulary (journal + report): ``ok``, ``cached``, ``failed``,
 ``timeout``, ``quarantined``, plus the intermediate ``retried``.
 
 Determinism: supervision never touches point digests, cache keys or
-simulation semantics — an empty journal and a fault-free campaign are
-byte-identical to an unsupervised run (locked in by the tests).
+simulation semantics — a fault-free campaign is byte-identical to a
+direct :class:`Runner` run at any ``jobs`` (locked in by the tests).
 """
 
 from __future__ import annotations
@@ -54,14 +60,15 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Union
 
 from ..experiments.runner import Runner, RunResult
+from ..obs.base import Observability
 from ..obs.metrics import MetricsRegistry, write_snapshot
 from .cache import point_digest
 from .executor import (
     ExperimentExecutor,
     RunPoint,
     VerifyFailure,
-    _worker_run,
     execute_point,
+    metrics_path_for,
 )
 from .journal import DurableJournal
 from .serialize import (
@@ -180,10 +187,17 @@ class CampaignFailed(RuntimeError):
 BOUNDARY_ERRORS: tuple[type, ...] = (VerifyFailure, WorkerFailure)
 
 
+#: The pool worker's :class:`Runner`, one per worker process: traces and
+#: compilations are memoized across every point the worker serves (the
+#: memo keys include the relevant config fields, so sweep points share
+#: their workload trace).
+_WORKER_RUNNER: Optional[Runner] = None
+
+
 def _supervised_worker_run(
     point: RunPoint, verify: bool, metrics_dir: Optional[str] = None
 ) -> RunResult:
-    """Worker entry point that guarantees picklable failure.
+    """Pool worker entry point; guarantees picklable failure.
 
     :class:`VerifyFailure` already crosses the pool cleanly and callers
     key on it (non-retryable); anything else is flattened into a
@@ -191,8 +205,19 @@ def _supervised_worker_run(
     """
     import traceback
 
+    global _WORKER_RUNNER
     try:
-        return _worker_run(point, verify, metrics_dir)
+        if _WORKER_RUNNER is None:
+            _WORKER_RUNNER = Runner(point.config)
+        obs = None
+        if metrics_dir is not None:
+            obs = Observability(metrics=MetricsRegistry())
+        result = execute_point(_WORKER_RUNNER, point, verify=verify, obs=obs)
+        if obs is not None:
+            write_snapshot(
+                obs.metrics.snapshot(), metrics_path_for(metrics_dir, point)
+            )
+        return result
     except VerifyFailure:
         raise
     except Exception as exc:
@@ -410,18 +435,15 @@ class _Task:
 class CampaignSupervisor:
     """Retrying, journaling, crash-recovering driver for a point grid.
 
-    Wraps an :class:`ExperimentExecutor` (which contributes jobs/cache/
-    verify/observability configuration and ``stats``) without changing
-    any of its determinism contracts: results are produced by the exact
-    same worker entry path, stored under the exact same digests, and a
-    supervised fault-free campaign is bit-identical to an unsupervised
-    one at any ``jobs``.
+    The :class:`ExperimentExecutor` contributes jobs/cache/verify/
+    observability configuration and ``stats``.  Supervision never
+    changes a result: every point runs through :func:`execute_point`,
+    is stored under its content digest, and a fault-free campaign is
+    bit-identical to a direct :class:`Runner` run at any ``jobs``.
 
-    Unlike the plain executor — which persists results only after the
-    whole grid resolves — the supervisor stores each result the moment
-    its point completes.  That per-point checkpointing is what makes
-    SIGINT/SIGKILL cheap: an interrupted campaign has lost only its
-    in-flight points.
+    Each result is stored the moment its point completes.  That
+    per-point checkpointing is what makes SIGINT/SIGKILL cheap: an
+    interrupted campaign has lost only its in-flight points.
     """
 
     def __init__(
@@ -449,7 +471,7 @@ class CampaignSupervisor:
             "exec.retry_backoff_s", RETRY_BACKOFF_BOUNDS
         )
         # Injection point for tests (hung/killer stub workers); must be a
-        # module-level callable with _worker_run's signature.
+        # module-level callable with _supervised_worker_run's signature.
         self._worker_fn = worker_fn or _supervised_worker_run
 
     # ------------------------------------------------------------------
@@ -491,7 +513,8 @@ class CampaignSupervisor:
         self, runner: Runner, points: Iterable[RunPoint]
     ) -> CampaignReport:
         """:meth:`run_points`, then seed the results into ``runner``'s
-        memo table (mirrors :meth:`ExperimentExecutor.warm_runner`)."""
+        memo table, so figure drivers find every grid cell already
+        materialized."""
         report = self.run_points(points)
         for point, result in report.results.items():
             runner.seed_result(

@@ -10,7 +10,7 @@ configuration so the figure functions can share runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..core.compiler import CompileResult, CompilerOptions, compile_schedule
 from ..core.slack import SlackOptions
@@ -38,9 +38,6 @@ from ..power import (
 from ..runtime.session import Session
 from ..workloads import get_workload
 from .config import ExperimentConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..exec.cache import ResultCache
 
 __all__ = [
     "RunResult",
@@ -78,18 +75,15 @@ class RunResult:
 class Runner:
     """Memoizing experiment driver for one base configuration.
 
-    With a :class:`~repro.exec.cache.ResultCache` attached, finished runs
-    are also persisted on disk (content-addressed by the canonical config
-    key), so repeat invocations — and parallel workers feeding the same
-    cache — never re-simulate an unchanged point.  ``simulations`` counts
-    the runs that actually hit the simulator in this process.
+    Runs are memoized in-process only.  The on-disk result cache
+    belongs to the campaign engine
+    (:class:`~repro.exec.supervise.CampaignSupervisor`), which seeds its
+    results in through :meth:`seed_result`.  ``simulations`` counts the
+    runs that actually hit the simulator in this process.
     """
 
-    def __init__(
-        self, config: ExperimentConfig, cache: Optional["ResultCache"] = None
-    ):
+    def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.cache = cache
         self.simulations = 0
         #: Engine statistics of the most recent ``_simulate`` call (events
         #: executed).  Not part of :class:`RunResult`, which records what
@@ -272,22 +266,12 @@ class Runner:
         scheme: bool,
         config: Optional[ExperimentConfig] = None,
     ) -> RunResult:
-        """Run (memoized, disk-cached) and distil one experiment."""
+        """Run (memoized) and distil one experiment."""
         cfg = config or self.config
         key = (workload, policy, scheme, cfg.to_key())
-        if key in self._runs:
-            return self._runs[key]
-        if self.cache is not None:
-            cached = self.cache.lookup(cfg, workload, policy, scheme)
-            if cached is not None:
-                self._runs[key] = cached
-                return cached
-
-        result = self._simulate(workload, policy, scheme, cfg)
-        self._runs[key] = result
-        if self.cache is not None:
-            self.cache.store(cfg, workload, policy, scheme, result)
-        return result
+        if key not in self._runs:
+            self._runs[key] = self._simulate(workload, policy, scheme, cfg)
+        return self._runs[key]
 
     def measure(
         self,
@@ -298,13 +282,12 @@ class Runner:
     ) -> tuple[RunResult, dict]:
         """Simulate one point unconditionally; return ``(result, stats)``.
 
-        The benchmark's events/sec probe: bypasses the memo table and the
-        disk cache (a cached result has no event timeline to measure),
-        warms the trace/compile memos first so only the simulation is
-        timed, and returns ``events`` and ``seconds`` alongside the
-        result.  The result is bit-identical to :meth:`run`'s and is
-        *not* written back to the cache (measured passes must stay
-        repeatable-cold).
+        The benchmark's events/sec probe: bypasses the memo table (a
+        memoized result has no event timeline to measure), warms the
+        trace/compile memos first so only the simulation is timed, and
+        returns ``events`` and ``seconds`` alongside the result.  The
+        result is bit-identical to :meth:`run`'s and is *not* memoized
+        (measured passes must stay repeatable-cold).
         """
         import time
 
@@ -327,18 +310,16 @@ class Runner:
     ) -> RunResult:
         """Simulate one point under an observability context.
 
-        Never served from the memo table or the disk cache — a cached
-        result carries no trace events and no metrics, so an instrumented
-        request must actually run.  The fresh result *is* written back to
-        both, and is bit-identical to an uninstrumented run's.
+        Never served from the memo table — a memoized result carries no
+        trace events and no metrics, so an instrumented request must
+        actually run.  The fresh result *is* memoized, and is
+        bit-identical to an uninstrumented run's.
         """
         cfg = config or self.config
         if obs is None or not isinstance(obs, Observability):
             raise TypeError("run_instrumented requires an Observability")
         result = self._simulate(workload, policy, scheme, cfg, obs=obs)
         self._runs[(workload, policy, scheme, cfg.to_key())] = result
-        if self.cache is not None:
-            self.cache.store(cfg, workload, policy, scheme, result)
         return result
 
     def seed_result(
@@ -351,8 +332,9 @@ class Runner:
     ) -> None:
         """Install an externally-computed result into the memo table.
 
-        The parallel executor uses this to make figure drivers — which call
-        :meth:`run` serially — find every grid point already materialized.
+        The campaign supervisor uses this to make figure drivers — which
+        call :meth:`run` serially — find every grid point already
+        materialized.
         """
         self._runs[(workload, policy, scheme, config.to_key())] = result
 

@@ -160,6 +160,56 @@ class TestCommands:
         assert "node  0" in text
 
 
+class TestResume:
+    def test_resume_replays_from_cache_identically(self, tmp_path):
+        from repro.exec import load_journal
+
+        journal = str(tmp_path / "run.journal")
+        cache_dir = str(tmp_path / "cache")
+        code, text = run_cli(
+            "run", "--app", "sar", "--scale", "0.05",
+            "--cache-dir", cache_dir, "--journal", journal,
+        )
+        assert code == 0
+        code2, text2 = run_cli("resume", journal)
+        assert code2 == 0
+        assert text2 == text
+        _header, entries = load_journal(journal)
+        assert entries
+        assert {e["outcome"] for e in entries.values()} == {"cached"}
+
+    def test_resume_drops_the_kernel_flag_of_old_journals(self, tmp_path):
+        """Journals written while several simulation kernels existed
+        record ``--kernel <name>`` in their argv; resume must still
+        re-dispatch them."""
+        import json
+
+        journal = tmp_path / "legacy.journal"
+        header = {
+            "kind": "campaign-journal",
+            "schema": 1,
+            "argv": [
+                "run", "--app", "sar", "--policy", "default",
+                "--scale", "0.05", "--kernel", "heap", "--jobs", "1",
+                "--cache-dir", str(tmp_path / "cache"), "--retries", "1",
+                "--journal", str(journal),
+            ],
+        }
+        entry = {
+            "digest": "3f" * 32,
+            "label": "sar/default/plain",
+            "outcome": "ok",
+            "attempts": 0,
+        }
+        journal.write_text(
+            json.dumps(header) + "\n" + json.dumps(entry) + "\n",
+            encoding="utf-8",
+        )
+        code, text = run_cli("resume", str(journal))
+        assert code == 0
+        assert "energy saving" in text
+
+
 class TestDensityTimeline:
     def make_result(self):
         from repro.core import CompilerOptions, compile_schedule

@@ -1,13 +1,17 @@
-"""Tests for the parallel experiment executor.
+"""Tests for grid execution through the campaign engine.
 
 The headline guarantees: parallel execution is *bit-identical* to serial,
-a warm cache performs zero simulations, and a verify failure in a worker
-surfaces as a clear top-level error instead of hanging the pool.
+a warm cache performs zero simulations, a verify failure in a worker
+surfaces as a clear top-level error instead of hanging the pool, and
+every figure driver reads exactly the points its grid enumerates (which
+is what lets the engine warm a plain, cache-free :class:`Runner`).
 """
 
 import pytest
 
+from repro.cli import FIGURES
 from repro.exec import (
+    CampaignSupervisor,
     ExperimentExecutor,
     ResultCache,
     RunPoint,
@@ -18,12 +22,19 @@ from repro.exec import (
 )
 from repro.exec.grid import GRID_FIGURES
 from repro.experiments import APPS, ExperimentConfig, Runner, fig12c
+from repro.experiments.runner import RunResult
+from repro.metrics.idle import idle_cdf
 
 TINY = ExperimentConfig(workload_scale=0.05)
 
 
 def tiny_points(apps=("sar", "madbench2"), scheme=False):
     return [RunPoint(app, "simple", scheme, TINY) for app in apps]
+
+
+def resolve(executor, points):
+    """Resolve ``points`` through the campaign engine; point → result."""
+    return CampaignSupervisor(executor).run_points(points).results
 
 
 class TestGrid:
@@ -56,24 +67,24 @@ class TestEquivalence:
     def test_parallel_bit_identical_to_serial(self, apps):
         """Same workload through jobs=1 and jobs=2 must agree exactly."""
         points = tiny_points(apps=apps)
-        serial = ExperimentExecutor(jobs=1).run_points(points)
+        serial = resolve(ExperimentExecutor(jobs=1), points)
         # Force the pool even for few points by adding a second app when
         # needed; compare only the points under test.
         pool_points = points + tiny_points(apps=("hf",))
-        parallel = ExperimentExecutor(jobs=2).run_points(pool_points)
+        parallel = resolve(ExperimentExecutor(jobs=2), pool_points)
         for point in points:
             assert parallel[point] == serial[point]
 
     def test_executor_matches_direct_runner(self):
         point = RunPoint("sar", "history", True, TINY)
-        via_executor = ExperimentExecutor(jobs=1).run_points([point])[point]
+        via_executor = resolve(ExperimentExecutor(jobs=1), [point])[point]
         direct = Runner(TINY).run("sar", "history", True)
         assert via_executor == direct
 
     def test_duplicates_resolved_once(self):
         point = RunPoint("sar", "simple", False, TINY)
         executor = ExperimentExecutor(jobs=1)
-        results = executor.run_points([point, point, point])
+        results = resolve(executor, [point, point, point])
         assert executor.stats.points == 1
         assert executor.stats.simulated == 1
         assert len(results) == 1
@@ -83,12 +94,12 @@ class TestCacheIntegration:
     def test_warm_cache_performs_zero_simulations(self, tmp_path):
         points = tiny_points() + tiny_points(scheme=True)
         cold = ExperimentExecutor(jobs=1, cache=ResultCache(tmp_path))
-        cold_results = cold.run_points(points)
+        cold_results = resolve(cold, points)
         assert cold.stats.simulated == len(points)
         assert cold.stats.cache_hits == 0
 
         warm = ExperimentExecutor(jobs=2, cache=ResultCache(tmp_path))
-        warm_results = warm.run_points(points)
+        warm_results = resolve(warm, points)
         assert warm.stats.simulated == 0
         assert warm.stats.cache_hits == len(points)
         for point in points:
@@ -102,13 +113,13 @@ class TestCacheIntegration:
         points = figure_points("fig12c", cfg)
 
         first_exec = ExperimentExecutor(jobs=1, cache=ResultCache(tmp_path))
-        first_runner = Runner(cfg, cache=None)
-        first_exec.warm_runner(first_runner, points)
+        first_runner = Runner(cfg)
+        CampaignSupervisor(first_exec).warm_runner(first_runner, points)
         first = fig12c(first_runner)
 
         replay_exec = ExperimentExecutor(jobs=1, cache=ResultCache(tmp_path))
-        replay_runner = Runner(cfg, cache=None)
-        replay_exec.warm_runner(replay_runner, points)
+        replay_runner = Runner(cfg)
+        CampaignSupervisor(replay_exec).warm_runner(replay_runner, points)
         second = fig12c(replay_runner)
 
         assert replay_exec.stats.simulated == 0
@@ -138,26 +149,26 @@ class TestVerifyGating:
         ]
         executor = ExperimentExecutor(jobs=2, verify=True)
         with pytest.raises(VerifyFailure) as exc:
-            executor.run_points(points)
+            resolve(executor, points)
         assert "madbench2" in str(exc.value)
 
     def test_verify_failure_stores_nothing_in_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = ExperimentExecutor(jobs=1, cache=cache, verify=True)
         with pytest.raises(VerifyFailure):
-            executor.run_points(
-                [RunPoint("madbench2", "history", True, self.BAD)]
+            resolve(
+                executor, [RunPoint("madbench2", "history", True, self.BAD)]
             )
         assert len(cache) == 0
 
     def test_verify_off_skips_the_gate(self):
         point = RunPoint("madbench2", "history", True, self.BAD)
-        result = ExperimentExecutor(jobs=1, verify=False).run_points([point])
+        result = resolve(ExperimentExecutor(jobs=1, verify=False), [point])
         assert result[point].energy_joules > 0
 
     def test_clean_points_pass_the_gate(self):
         point = RunPoint("sar", "history", True, TINY)
-        result = ExperimentExecutor(jobs=1, verify=True).run_points([point])
+        result = resolve(ExperimentExecutor(jobs=1, verify=True), [point])
         assert result[point].prefetches > 0
 
 
@@ -181,54 +192,37 @@ class TestRunnerKeying:
         assert apps == set(APPS)
 
 
-# ----------------------------------------------------------------------
-# Partial-failure behaviour of the one-shot parallel pass
-# ----------------------------------------------------------------------
-def _stub_partial_worker(point, verify, metrics_dir=None):
-    """Module-level stub (forked pools pickle workers by qualname):
-    ``boom`` fails after its siblings have had time to finish."""
-    import time
+class RecordingRunner(Runner):
+    """Records every point a figure driver reads; simulates nothing."""
 
-    from repro.metrics.idle import idle_cdf
-    from repro.experiments.runner import RunResult
+    def __init__(self, config):
+        super().__init__(config)
+        self.read: set[RunPoint] = set()
 
-    if point.workload == "boom":
-        time.sleep(0.5)
-        raise RuntimeError("worker exploded")
-    return RunResult(
-        workload=point.workload,
-        policy=point.policy,
-        scheme=point.scheme,
-        execution_time=1.0,
-        energy_joules=10.0,
-        idle_cdf=idle_cdf([]),
-        idle_periods=[],
-        energy_breakdown={},
-        buffer_hits=0,
-        prefetches=0,
-        accesses=0,
-    )
-
-
-class TestPartialFailure:
-    def test_failed_pool_run_preserves_completed_siblings(
-        self, tmp_path, monkeypatch
-    ):
-        """One worker failing must not discard the results its siblings
-        already produced: they are stored to the cache before the error
-        propagates, so a rerun only repeats the failed point."""
-        monkeypatch.setattr(
-            "repro.exec.executor._worker_run", _stub_partial_worker
+    def _simulate(self, workload, policy, scheme, cfg, obs=None):
+        self.read.add(RunPoint(workload, policy, scheme, cfg))
+        return RunResult(
+            workload=workload,
+            policy=policy,
+            scheme=scheme,
+            execution_time=1.0,
+            energy_joules=10.0,
+            idle_cdf=idle_cdf([]),
+            idle_periods=[],
+            energy_breakdown={},
+            buffer_hits=0,
+            prefetches=0,
+            accesses=0,
         )
-        cache = ResultCache(tmp_path)
-        executor = ExperimentExecutor(jobs=2, cache=cache, verify=False)
-        points = [
-            RunPoint("okA", "simple", False, TINY),
-            RunPoint("okB", "simple", False, TINY),
-            RunPoint("boom", "simple", False, TINY),
-        ]
-        with pytest.raises(RuntimeError, match="worker exploded"):
-            executor.run_points(points)
-        assert cache.lookup(TINY, "okA", "simple", False) is not None
-        assert cache.lookup(TINY, "okB", "simple", False) is not None
-        assert cache.lookup(TINY, "boom", "simple", False) is None
+
+
+class TestFigureEnumeration:
+    @pytest.mark.parametrize("name", GRID_FIGURES)
+    def test_driver_reads_exactly_its_grid(self, name):
+        """The campaign engine warms a cache-free Runner with
+        ``figure_points(name)``; a driver reading any other point would
+        silently simulate it in-process, and one the grid lists but the
+        driver never reads would be wasted work."""
+        runner = RecordingRunner(TINY)
+        FIGURES[name](runner)
+        assert runner.read == set(figure_points(name, TINY))

@@ -78,11 +78,11 @@ def test_worker_failure_flattens_unpicklable_exceptions(monkeypatch):
             super().__init__("cannot cross the pool")
             self.payload = lambda: None  # defeats pickle
 
-    def exploding_run(point, verify, metrics_dir=None):
+    def exploding_run(runner, point, verify=True, obs=None):
         raise Unpicklable()
 
     monkeypatch.setattr(
-        "repro.exec.supervise._worker_run", exploding_run
+        "repro.exec.supervise.execute_point", exploding_run
     )
     point = RunPoint(
         "sar", "simple", False, ExperimentConfig(workload_scale=0.05)

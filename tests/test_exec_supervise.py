@@ -76,6 +76,7 @@ def scripted_worker(point, verify, metrics_dir=None):
     ``ok*``     succeed immediately (and drop a completion marker);
     ``flakyN``  raise for the first N attempts, then succeed;
     ``doomed``  always raise ValueError;
+    ``slowdoomed`` raise ValueError after 0.5 s (siblings finish first);
     ``badverify`` raise VerifyFailure (non-retryable by contract);
     ``killonce``/``killer`` SIGKILL their own worker process;
     ``hangonce``/``hang``   sleep far past any watchdog timeout;
@@ -93,6 +94,9 @@ def scripted_worker(point, verify, metrics_dir=None):
         if count < int(name.removeprefix("flaky")):
             raise ValueError(f"transient failure #{count + 1}")
     elif name == "doomed":
+        raise ValueError("permanently broken point")
+    elif name == "slowdoomed":
+        time.sleep(0.5)
         raise ValueError("permanently broken point")
     elif name == "badverify":
         raise VerifyFailure(point.label(), "synthetic verifier report")
@@ -408,6 +412,22 @@ class TestPoolRecovery:
         assert supervisor.metrics.counter("exec.quarantined").value == 1
         assert report.worker_deaths >= policy.quarantine_after
 
+    def test_failfast_pool_preserves_completed_siblings(self, scratch,
+                                                        tmp_path):
+        """One pool worker failing must not discard the results its
+        siblings already produced: they are in the cache when the
+        fail-fast error propagates, so a rerun repeats only the failed
+        point."""
+        cache = ResultCache(tmp_path / "cache")
+        supervisor = make_supervisor(
+            jobs=2, policy=SupervisorPolicy(retries=0), cache=cache
+        )
+        with pytest.raises(ValueError, match="permanently broken"):
+            supervisor.run_points(stub_points("okP", "okQ", "slowdoomed"))
+        assert cache.lookup(TINY, "okP", "simple", False) is not None
+        assert cache.lookup(TINY, "okQ", "simple", False) is not None
+        assert cache.lookup(TINY, "slowdoomed", "simple", False) is None
+
     def test_watchdog_reclaims_hung_worker_then_retry_succeeds(self,
                                                                scratch):
         policy = SupervisorPolicy(
@@ -462,7 +482,9 @@ class TestDeterminism:
             RunPoint("sar", "simple", False, TINY),
             RunPoint("madbench2", "simple", False, TINY),
         ]
-        plain = ExperimentExecutor(jobs=1).run_points(points)
+        plain = CampaignSupervisor(
+            ExperimentExecutor(jobs=1)
+        ).run_points(points).results
         supervised = CampaignSupervisor(
             ExperimentExecutor(jobs=2)
         ).run_points(points)

@@ -22,6 +22,7 @@ import random
 import pytest
 
 from repro.exec import (
+    CampaignSupervisor,
     ExperimentExecutor,
     ResultCache,
     RunPoint,
@@ -260,12 +261,12 @@ class TestSeededReplay:
         points = self.points()
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
-        serial = ExperimentExecutor(
-            jobs=1, metrics_dir=serial_dir
-        ).run_points(points)
-        parallel = ExperimentExecutor(
-            jobs=4, metrics_dir=parallel_dir
-        ).run_points(points)
+        serial = CampaignSupervisor(
+            ExperimentExecutor(jobs=1, metrics_dir=serial_dir)
+        ).run_points(points).results
+        parallel = CampaignSupervisor(
+            ExperimentExecutor(jobs=4, metrics_dir=parallel_dir)
+        ).run_points(points).results
         for point in points:
             assert run_result_to_dict(parallel[point]) == \
                 run_result_to_dict(serial[point])
